@@ -12,6 +12,11 @@ Measures three things and writes them to ``BENCH_memory.json``:
   ``"array"`` vs the closure-driven ``"reference"`` loop) — the sharded
   counterpart of ``bench_scheduler.py``'s rows.  One untimed warmup run
   precedes timing;
+* **scaling** — cold residency-admission runs of large fleets (64, 128
+  and 256 streams x 40 frames on 4 banks of 4.5 GiB, array engine), each
+  on a freshly built plane and scheduler so stage pricing is paid too.
+  Eviction cost grows with the fleet here, which the 6-stream rows above
+  are too small to show;
 * **sweep time** — wall-clock seconds of one end-to-end
   ``experiments.sharded_memory`` sweep (all bank counts, both admission
   policies), the figure-level cost the CI smoke keeps bounded.
@@ -122,6 +127,47 @@ def scheduler_event_rate(
     }
 
 
+def scaling_row(num_streams: int, frames_per_stream: int, repeats: int) -> dict:
+    """Best-of-``repeats`` cold run of a large memory-bound fleet."""
+    system = server_systems(default_llm_workload().model_bytes())["V-Rex48"]
+
+    def fresh_plane() -> BatchLatencyModel:
+        return BatchLatencyModel(
+            memory=ShardedKVHierarchy(num_banks=4, bank_budget_bytes=4.5 * GiB)
+        )
+
+    profiles = [
+        StreamProfile(kv_len=40_000, session_id=index) for index in range(num_streams)
+    ]
+    solo = fresh_plane().frame_step(system, profiles[:1]).streams[0].total_s
+    config = SchedulerConfig(deadline_s=2.0 * solo, max_queue_depth=3, admission="residency")
+    traces = BurstyArrivals.for_mean_rate(
+        rate_for_load(1.2, solo, num_streams)
+    ).generate(num_streams, frames_per_stream, seed=7)
+    best = float("inf")
+    for _ in range(repeats):
+        scheduler = ServingScheduler(fresh_plane(), config, engine="array")
+        gc.collect()
+        start = time.perf_counter()
+        result = scheduler.run(system, profiles, traces)
+        best = min(best, time.perf_counter() - start)
+    return {
+        "engine": "array",
+        "num_banks": 4,
+        "bank_budget_gib": 4.5,
+        "admission": "residency",
+        "num_streams": num_streams,
+        "frames_per_stream": frames_per_stream,
+        "repeats": repeats,
+        "events_per_run": result.events_processed,
+        "events_per_s": result.events_processed / best,
+        "run_s": best,
+        "evictions": len(result.memory.evictions),
+        "evict_admissions": result.evict_admissions,
+        "deferred": result.deferred,
+    }
+
+
 def sweep_time(smoke: bool) -> dict:
     """End-to-end cost of one sharded-memory sweep."""
     kwargs = (
@@ -141,7 +187,7 @@ def sweep_time(smoke: bool) -> dict:
 
 
 def run(smoke: bool = False) -> dict:
-    results: dict = {"pricing": [], "scheduler": [], "sweep": None}
+    results: dict = {"pricing": [], "scheduler": [], "scaling": [], "sweep": None}
     pricing_repeats = 2_000 if smoke else 20_000
     for num_banks in (1, 2, 4, 8):
         row = fetch_pricing_rate(num_banks, pricing_repeats)
@@ -165,6 +211,15 @@ def run(smoke: bool = False) -> dict:
                     f"{row['jobs_per_s']:,.0f} jobs/s "
                     f"({row['run_ms']:.1f} ms/run, {row['evictions']} evictions)"
                 )
+    scaling = ((8, 4, 1),) if smoke else ((64, 40, 3), (128, 40, 3), (256, 40, 3))
+    for num_streams, frames, repeats in scaling:
+        row = scaling_row(num_streams, frames, repeats)
+        results["scaling"].append(row)
+        print(
+            f"scaling {num_streams} streams x {frames} frames: {row['run_s']:.2f} s cold "
+            f"({row['events_per_s']:,.0f} events/s, {row['evictions']} evictions, "
+            f"{row['evict_admissions']} evict admissions)"
+        )
     results["sweep"] = sweep_time(smoke)
     print(
         f"sharded-memory sweep ({results['sweep']['rows']} rows): "
@@ -197,6 +252,9 @@ def run(smoke: bool = False) -> dict:
         # bounded banks in a memory-bound fleet must demote something
         assert any(row["evictions"] > 0 for row in sharded)
         assert results["sweep"]["rows"] > 0
+        assert results["scaling"], "no scaling rows produced"
+        assert all(row["events_per_s"] > 0 for row in results["scaling"])
+        assert all(row["evictions"] > 0 for row in results["scaling"])
         # pricing a wider fan-out never slows the modelled fetch down
         times = [row["fetch_time_ms"] for row in results["pricing"]]
         assert all(b <= a * (1 + 1e-9) for a, b in zip(times, times[1:], strict=False))

@@ -24,9 +24,13 @@ Three tiers are modelled:
 Banks enforce per-bank capacity budgets.  Registration fills banks
 first-come-first-served; **cold-shard eviction** demotes the
 least-recently-used sessions' per-bank shards when a later promotion needs
-the space.  All tie-breaking is keyed on session id, so shard placement —
-and every admission decision derived from it — is a function of the fleet,
-never of the caller's listing order.
+the space.  Each bank keeps its eviction order incrementally (an ascending
+``(last_used, session_id)`` index over the sessions warm in it), so a
+promotion costs in proportion to the victims it takes plus the protected
+sessions it skips, not to the number of sessions registered.  All
+tie-breaking is keyed on session id, so shard placement — and every
+admission decision derived from it — is a function of the fleet, never of
+the caller's listing order.
 
 The degenerate configuration (``num_banks=1`` with the default unbounded
 budget) keeps every session fully warm in one bank; the fetch makespan of
@@ -38,8 +42,10 @@ the existing contended and time-sliced results exactly.
 from __future__ import annotations
 
 import math
+from bisect import bisect_left, insort
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
+from numbers import Integral
 
 import numpy as np
 
@@ -198,6 +204,10 @@ class ShardedKVHierarchy:
         self._occupancy = np.zeros(self.num_banks)
         self._clock = 0
         self._last_used: dict[int, int] = {}
+        #: per bank, ascending ``(last_used, session_id)`` of exactly the
+        #: sessions warm in that bank — the eviction order, kept in place of
+        #: a rescan-and-sort per promotion (the clock makes keys unique)
+        self._lru: list[list[tuple[int, int]]] = [[] for _ in range(self.num_banks)]
         self.evictions: list[EvictionRecord] = []
         #: bumped on every occupancy mutation (registration, promotion,
         #: demotion) — lets pollers skip re-reading unchanged occupancy
@@ -222,8 +232,15 @@ class ShardedKVHierarchy:
         """
         if session_id in self._shards:
             raise ValueError(f"session {session_id} is already registered")
-        if offloaded_bytes < 0 or hot_bytes < 0 or hc_table_bytes < 0:
-            raise ValueError("shard byte counts must be non-negative")
+        for name, value in (
+            ("offloaded_bytes", offloaded_bytes),
+            ("hot_bytes", hot_bytes),
+            ("hc_table_bytes", hc_table_bytes),
+        ):
+            if not (math.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and non-negative, got {value}")
+        if isinstance(num_clusters, bool) or not isinstance(num_clusters, Integral):
+            raise ValueError(f"num_clusters must be an integer, got {num_clusters!r}")
         offchip = offloaded_bytes + hc_table_bytes
         home = (
             partition_by_cluster(num_clusters, self.num_banks, offchip)
@@ -241,6 +258,10 @@ class ShardedKVHierarchy:
             home_bytes=home,
             warm_bytes=warm,
         )
+        key = (self._clock, session_id)  # the clock is the maximum: append
+        for bank, held in enumerate(warm.tolist()):
+            if held > 0:
+                self._lru[bank].append(key)
         self._last_used[session_id] = self._clock
         self._clock += 1
         if self._sanitize:
@@ -338,25 +359,24 @@ class ShardedKVHierarchy:
     # ------------------------------------------------------------------ #
     def touch(self, session_id: int) -> None:
         """Mark a session most-recently-used (eviction prefers older ones)."""
-        self._shard(session_id)
+        shard = self._shard(session_id)
+        old = (self._last_used[session_id], session_id)
+        new = (self._clock, session_id)
+        for bank, held in enumerate(shard.warm_bytes.tolist()):
+            if held > 0:
+                lru = self._lru[bank]
+                del lru[bisect_left(lru, old)]
+                lru.append(new)
         self._last_used[session_id] = self._clock
         self._clock += 1
-
-    def _victims(self, bank: int, exclude: set[int]) -> list[_SessionShards]:
-        """Evictable shards of one bank, least-recently-used first."""
-        candidates = [
-            shard
-            for sid, shard in self._shards.items()
-            if sid not in exclude and shard.warm_bytes[bank] > 0
-        ]
-        candidates.sort(key=lambda s: (self._last_used[s.session_id], s.session_id))
-        return candidates
+        if self._sanitize:
+            self.sanity_check()
 
     def promote(
         self,
         session_id: int,
         protected: Iterable[int] = (),
-        dry_run: bool = False,
+        require_full: bool = False,
     ) -> float:
         """Pull a session's cold shards back into their home banks.
 
@@ -364,34 +384,50 @@ class ShardedKVHierarchy:
         (whole per-bank shards at a time — the cluster-contiguous layout
         is rebuilt per shard, not per token) until the promotion fits or
         no victims remain; whatever still does not fit stays cold.
-        Returns the promoted byte count; ``dry_run`` prices the promotion
-        without mutating anything (the admission controller's "would
-        eviction make this stream warm?" probe).  Hot bytes are never
-        touched: demotion only ever moves warm bank bytes to the cold
-        tier.
+        Returns the promoted byte count.  With ``require_full`` the
+        promotion is all-or-nothing: it is planned once and applied only
+        if it covers the session's whole cold remainder (to 1e-9 relative
+        slack), else nothing moves and 0.0 is returned — the admission
+        controller's "would eviction make this stream warm?" decision,
+        probe and commit in one pass.  Hot bytes are never touched:
+        demotion only ever moves warm bank bytes to the cold tier.
         """
         shard = self._shard(session_id)
         exclude = set(protected) | {session_id}
         promoted = 0.0
+        plan: list[tuple[int, float, list[tuple[_SessionShards, float]]]] = []
+        # plain-float views: the same IEEE double arithmetic, without a numpy
+        # scalar per operation
+        home = shard.home_bytes.tolist()
+        warm = shard.warm_bytes.tolist()
+        occupancy = self._occupancy.tolist()
         for bank in range(self.num_banks):
-            need = shard.home_bytes[bank] - shard.warm_bytes[bank]
-            if need <= shard.home_bytes[bank] * _COLD_SNAP_REL:
+            need = home[bank] - warm[bank]
+            if need <= home[bank] * _COLD_SNAP_REL:
                 continue  # home-warm within float slack: nothing to promote
-            headroom = self.bank_budget_bytes - self._occupancy[bank]
+            headroom = self.bank_budget_bytes - occupancy[bank]
             freed = 0.0
             victims: list[tuple[_SessionShards, float]] = []
-            for victim in self._victims(bank, exclude):
+            # walk the bank's eviction order, least-recently-used first
+            for _, sid in self._lru[bank]:
                 if headroom + freed >= need:
                     break
-                victims.append((victim, float(victim.warm_bytes[bank])))
-                freed += float(victim.warm_bytes[bank])
+                if sid in exclude:
+                    continue
+                victim = self._shards[sid]
+                bytes_out = victim.warm_bytes.item(bank)
+                victims.append((victim, bytes_out))
+                freed += bytes_out
             gain = min(need, headroom + freed)
             if gain <= 0:
                 continue
             promoted += gain
-            if dry_run:
-                continue
+            plan.append((bank, gain, victims))
+        if require_full and not promoted >= shard.cold_bytes * (1.0 - 1e-9):
+            return 0.0
+        for bank, gain, victims in plan:
             self.occupancy_version += 1
+            lru = self._lru[bank]
             for victim, bytes_out in victims:
                 victim.warm_bytes[bank] = 0.0
                 victim.invalidate()
@@ -399,10 +435,15 @@ class ShardedKVHierarchy:
                 self.evictions.append(
                     EvictionRecord(victim.session_id, bank, bytes_out)
                 )
+                vid = victim.session_id
+                del lru[bisect_left(lru, (self._last_used[vid], vid))]
+            if not warm[bank] > 0:
+                # newly warm here; a promotion keeps its LRU position
+                insort(lru, (self._last_used[session_id], session_id))
             shard.warm_bytes[bank] += gain
             shard.invalidate()
             self._occupancy[bank] += gain
-        if self._sanitize and not dry_run:
+        if self._sanitize:
             self.sanity_check()
         return promoted
 
@@ -436,7 +477,9 @@ class ShardedKVHierarchy:
         * the hot tier is byte-for-byte what registration installed —
           eviction must never touch device DRAM;
         * bank occupancy equals the per-session warm sums (to float
-          accumulation slack) and respects the bank budget.
+          accumulation slack) and respects the bank budget;
+        * each bank's eviction index is exactly the ``(last_used,
+          session_id)`` sort of the sessions warm in that bank.
 
         Raises :class:`~repro.devtools.sanitizer.SanitizerError` with code
         ``shard-conservation`` on the first violated invariant.
@@ -490,6 +533,18 @@ class ShardedKVHierarchy:
                 f"bank {bank} occupancy {self._occupancy[bank]} exceeds budget "
                 f"{self.bank_budget_bytes}",
             )
+        for bank, lru in enumerate(self._lru):
+            expected_order = sorted(
+                (self._last_used[sid], sid)
+                for sid, shard in self._shards.items()
+                if shard.warm_bytes[bank] > 0
+            )
+            if lru != expected_order:
+                raise SanitizerError(
+                    SHARD_CONSERVATION,
+                    f"bank {bank} eviction index {lru} disagrees with the LRU "
+                    f"order of its warm sessions {expected_order}",
+                )
 
     # ------------------------------------------------------------------ #
     # lifecycle

@@ -24,6 +24,7 @@ drawn or what ``np.random`` the caller has touched.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -36,6 +37,11 @@ def _validate_fleet(num_streams: int, frames_per_stream: int) -> None:
         raise ValueError(f"frames_per_stream must be non-negative, got {frames_per_stream}")
 
 
+def _validate_start(start_s: float) -> None:
+    if not 0 <= start_s < math.inf:
+        raise ValueError(f"start_s must be non-negative and finite, got {start_s}")
+
+
 def rate_for_load(load_factor: float, service_s: float, num_streams: int = 1) -> float:
     """Per-stream arrival rate (Hz) that drives a fleet at a target load.
 
@@ -44,10 +50,10 @@ def rate_for_load(load_factor: float, service_s: float, num_streams: int = 1) ->
     returned rate present ``load_factor / service_s`` frames per second in
     aggregate.
     """
-    if load_factor <= 0:
-        raise ValueError(f"load_factor must be positive, got {load_factor}")
-    if service_s <= 0:
-        raise ValueError(f"service_s must be positive, got {service_s}")
+    if not 0 < load_factor < math.inf:
+        raise ValueError(f"load_factor must be positive and finite, got {load_factor}")
+    if not 0 < service_s < math.inf:
+        raise ValueError(f"service_s must be positive and finite, got {service_s}")
     if num_streams < 1:
         raise ValueError(f"num_streams must be at least 1, got {num_streams}")
     return load_factor / (service_s * num_streams)
@@ -118,12 +124,13 @@ class DeterministicArrivals(ArrivalProcess):
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.period_s < 0:
-            raise ValueError(f"period_s must be non-negative, got {self.period_s}")
-        if self.spacing_s < 0:
-            raise ValueError(f"spacing_s must be non-negative, got {self.spacing_s}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
+        if not 0 <= self.period_s < math.inf:
+            raise ValueError(f"period_s must be non-negative and finite, got {self.period_s}")
+        if not 0 <= self.spacing_s < math.inf:
+            raise ValueError(
+                f"spacing_s must be non-negative and finite, got {self.spacing_s}"
+            )
+        _validate_start(self.start_s)
 
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
@@ -147,10 +154,9 @@ class PoissonArrivals(ArrivalProcess):
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {self.rate_hz}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
+        if not 0 < self.rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {self.rate_hz}")
+        _validate_start(self.start_s)
 
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
@@ -180,16 +186,20 @@ class BurstyArrivals(ArrivalProcess):
     start_s: float = 0.0
 
     def __post_init__(self) -> None:
-        if self.burst_rate_hz <= 0:
-            raise ValueError(f"burst_rate_hz must be positive, got {self.burst_rate_hz}")
-        if self.mean_burst_frames < 1:
+        if not 0 < self.burst_rate_hz < math.inf:
             raise ValueError(
-                f"mean_burst_frames must be at least 1, got {self.mean_burst_frames}"
+                f"burst_rate_hz must be positive and finite, got {self.burst_rate_hz}"
             )
-        if self.mean_idle_s < 0:
-            raise ValueError(f"mean_idle_s must be non-negative, got {self.mean_idle_s}")
-        if self.start_s < 0:
-            raise ValueError(f"start_s must be non-negative, got {self.start_s}")
+        if not 1 <= self.mean_burst_frames < math.inf:
+            raise ValueError(
+                f"mean_burst_frames must be finite and at least 1, "
+                f"got {self.mean_burst_frames}"
+            )
+        if not 0 <= self.mean_idle_s < math.inf:
+            raise ValueError(
+                f"mean_idle_s must be non-negative and finite, got {self.mean_idle_s}"
+            )
+        _validate_start(self.start_s)
 
     def _stream_times(
         self, rng: np.random.Generator, frames: int, stream: int
@@ -235,11 +245,11 @@ class BurstyArrivals(ArrivalProcess):
         delivers ``rate_hz`` on average — the apples-to-apples comparison
         the load sweeps need.
         """
-        if rate_hz <= 0:
-            raise ValueError(f"rate_hz must be positive, got {rate_hz}")
-        if burstiness <= 1:
-            raise ValueError(f"burstiness must exceed 1, got {burstiness}")
-        if mean_burst_frames < 1:
+        if not 0 < rate_hz < math.inf:
+            raise ValueError(f"rate_hz must be positive and finite, got {rate_hz}")
+        if not 1 < burstiness < math.inf:
+            raise ValueError(f"burstiness must be finite and exceed 1, got {burstiness}")
+        if not mean_burst_frames >= 1:
             raise ValueError(
                 f"mean_burst_frames must be at least 1, got {mean_burst_frames}"
             )

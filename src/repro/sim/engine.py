@@ -432,10 +432,7 @@ def run_array(ctx: _RunContext) -> ScheduleResult:
                 return ADM_DEFER  # not even a full promotion would save it
             protected = busy_set.copy()
             protected.discard(session)
-            cold = memory.cold_bytes(session)
-            promotable = memory.promote(session, protected=protected, dry_run=True)
-            if promotable >= cold * (1.0 - 1e-9):
-                memory.promote(session, protected=protected)
+            if memory.promote(session, protected=protected, require_full=True) > 0.0:
                 note_occupancy()
                 return 1  # ADM_EVICT
         return ADM_DEFER

@@ -192,7 +192,7 @@ class SchedulerConfig:
     energy_budget_j_per_token: float | None = None
 
     def __post_init__(self) -> None:
-        if self.deadline_s is not None and self.deadline_s <= 0:
+        if self.deadline_s is not None and not self.deadline_s > 0:
             raise ValueError(f"deadline_s must be positive, got {self.deadline_s}")
         if self.max_queue_depth is not None and self.max_queue_depth < 0:
             raise ValueError(
@@ -211,7 +211,7 @@ class SchedulerConfig:
             )
         if (
             self.energy_budget_j_per_token is not None
-            and self.energy_budget_j_per_token <= 0
+            and not self.energy_budget_j_per_token > 0
         ):
             raise ValueError(
                 "energy_budget_j_per_token must be positive, got "
@@ -1139,10 +1139,7 @@ class ServingScheduler:
                 if warm_estimate > cfg.deadline_s:
                     return DEFER  # not even a full promotion would save it
                 protected = busy_sessions(excluding=job.stream)
-                cold = memory.cold_bytes(session)
-                promotable = memory.promote(session, protected=protected, dry_run=True)
-                if promotable >= cold * (1.0 - 1e-9):
-                    memory.promote(session, protected=protected)
+                if memory.promote(session, protected=protected, require_full=True) > 0.0:
                     note_occupancy()
                     return EVICT
             return DEFER

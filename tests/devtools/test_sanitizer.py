@@ -423,6 +423,31 @@ class TestShardConservation:
         with expect(SHARD_CONSERVATION):
             plane.sanity_check()
 
+    def test_eviction_index_corruption_detected(self):
+        plane = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GIB, sanitize=True)
+        plane.register(0, offloaded_bytes=0.5 * GIB, num_clusters=4)
+        plane.register(1, offloaded_bytes=0.5 * GIB, num_clusters=4)
+        plane.touch(0)
+        plane._lru[1].reverse()  # bank 1 would evict the most-recent session first
+        with expect(SHARD_CONSERVATION):
+            plane.sanity_check()
+
+    def test_stale_eviction_index_entry_detected(self):
+        plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
+        plane.register(0, offloaded_bytes=0.5 * GIB)
+        plane._shards[0].warm_bytes[0] = 0.0  # demoted behind the index's back
+        plane._occupancy[0] = 0.0
+        with expect(SHARD_CONSERVATION):
+            plane.sanity_check()
+
+    def test_touch_checks_immediately(self):
+        plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
+        plane.register(0, offloaded_bytes=0.25 * GIB)
+        plane.register(1, offloaded_bytes=0.25 * GIB)
+        plane._lru[0].append((-1, 7))  # a phantom session in the index
+        with expect(SHARD_CONSERVATION):
+            plane.touch(1)
+
     def test_register_checks_immediately(self, monkeypatch):
         plane = ShardedKVHierarchy(num_banks=1, bank_budget_bytes=GIB, sanitize=True)
         plane.register(0, offloaded_bytes=0.25 * GIB)

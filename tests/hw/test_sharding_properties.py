@@ -16,7 +16,11 @@ point values (they run under the dev/ci hypothesis profiles registered in
   exactly like the unsharded KVMU fetch;
 * **admission is a function of the fleet** — the residency-aware
   admission controller's admit/defer/evict decisions (and the resulting
-  sojourns) are invariant under permutation of the profile listing order.
+  sojourns) are invariant under permutation of the profile listing order;
+* **the incremental eviction index is the rescan it replaced** — random
+  operation sequences on :class:`ShardedKVHierarchy` and on an oracle that
+  rescans and sorts every session per promotion produce the same
+  evictions, occupancy, fetch splits and promoted bytes at every step.
 """
 
 from __future__ import annotations
@@ -31,6 +35,8 @@ from hypothesis import strategies as st
 from repro.hw.dre.kvmu import KVFetchWork, KVMUModel
 from repro.hw.memory.pcie import PCIE3_X4, PCIE4_X16, PCIeLink
 from repro.hw.memory.sharding import (
+    _COLD_SNAP_REL,
+    EvictionRecord,
     ShardedKVHierarchy,
     ShardSplit,
     partition_by_cluster,
@@ -311,3 +317,227 @@ class TestAdmissionPermutationInvariance:
                 if r.session_id == session_id and not r.dropped
             ]
             assert base_sojourns == pytest.approx(perm_sojourns, rel=1e-9)
+
+
+class TestRegisterBoundary:
+    """Non-finite byte counts and fractional cluster counts fail loudly.
+
+    Each would otherwise register silently and turn bank occupancy,
+    ``residency()`` and the :class:`ShardSplit` fractions into NaN.
+    """
+
+    @pytest.mark.parametrize("bad", [math.nan, math.inf], ids=["nan", "inf"])
+    @pytest.mark.parametrize("field", ["offloaded_bytes", "hot_bytes", "hc_table_bytes"])
+    def test_non_finite_bytes_rejected(self, field, bad):
+        hierarchy = ShardedKVHierarchy(num_banks=2, bank_budget_bytes=GiB)
+        kwargs = {"offloaded_bytes": 1e6, field: bad}
+        with pytest.raises(ValueError, match=field):
+            hierarchy.register(0, **kwargs)
+        assert hierarchy.session_ids == []
+        assert hierarchy.occupancy_version == 0
+
+    def test_fractional_cluster_count_rejected(self):
+        hierarchy = ShardedKVHierarchy(num_banks=2)
+        with pytest.raises(ValueError, match="num_clusters"):
+            hierarchy.register(0, 1e6, num_clusters=2.5)
+        assert hierarchy.session_ids == []
+
+    def test_integer_like_cluster_counts_accepted(self):
+        hierarchy = ShardedKVHierarchy(num_banks=2)
+        hierarchy.register(0, 1e6, num_clusters=np.int64(4))
+        assert hierarchy.residency(0) == 1.0
+
+
+class _RescanOracle:
+    """The eviction plane as it was before the incremental index.
+
+    Every promotion rescans all registered sessions and sorts the warm
+    ones by ``(last_used, session_id)``; the admission probe is a dry run
+    followed by a second, committing promotion.  Kept here as the
+    reference the indexed :class:`ShardedKVHierarchy` must match exactly.
+    """
+
+    def __init__(self, num_banks: int, budget: float):
+        self.num_banks = num_banks
+        self.budget = budget
+        self.occupancy = np.zeros(num_banks)
+        self.home: dict[int, np.ndarray] = {}
+        self.warm: dict[int, np.ndarray] = {}
+        self.offchip: dict[int, float] = {}
+        self.last_used: dict[int, int] = {}
+        self.clock = 0
+        self.evictions: list[EvictionRecord] = []
+
+    def register(self, sid, offloaded, hot, clusters, hc) -> None:
+        del hot
+        offchip = offloaded + hc
+        home = (
+            partition_by_cluster(clusters, self.num_banks, offchip)
+            if offchip > 0
+            else np.zeros(self.num_banks)
+        )
+        warm = np.minimum(home, np.maximum(self.budget - self.occupancy, 0.0))
+        self.occupancy += warm
+        self.home[sid], self.warm[sid], self.offchip[sid] = home, warm, float(offchip)
+        self.touch(sid)
+
+    def touch(self, sid) -> None:
+        self.last_used[sid] = self.clock
+        self.clock += 1
+
+    def cold_bytes(self, sid) -> float:
+        cold = self.offchip[sid] - float(self.warm[sid].sum())
+        return 0.0 if cold <= self.offchip[sid] * _COLD_SNAP_REL else cold
+
+    def fetch_split(self, sid) -> ShardSplit:
+        offchip = self.offchip[sid]
+        if offchip <= 0:
+            return ShardSplit(warm_fractions=(1.0,), cold_fraction=0.0)
+        return ShardSplit(
+            warm_fractions=tuple(float(f) for f in self.warm[sid] / offchip),
+            cold_fraction=self.cold_bytes(sid) / offchip,
+        )
+
+    def _victims(self, bank, exclude) -> list[int]:
+        candidates = [
+            sid for sid in self.warm if sid not in exclude and self.warm[sid][bank] > 0
+        ]
+        candidates.sort(key=lambda sid: (self.last_used[sid], sid))
+        return candidates
+
+    def promote(self, sid, protected=(), dry_run=False) -> float:
+        exclude = set(protected) | {sid}
+        home, warm = self.home[sid], self.warm[sid]
+        promoted = 0.0
+        for bank in range(self.num_banks):
+            need = home[bank] - warm[bank]
+            if need <= home[bank] * _COLD_SNAP_REL:
+                continue
+            headroom = self.budget - self.occupancy[bank]
+            freed = 0.0
+            victims = []
+            for victim in self._victims(bank, exclude):
+                if headroom + freed >= need:
+                    break
+                victims.append((victim, float(self.warm[victim][bank])))
+                freed += float(self.warm[victim][bank])
+            gain = min(need, headroom + freed)
+            if gain <= 0:
+                continue
+            promoted += gain
+            if dry_run:
+                continue
+            for victim, bytes_out in victims:
+                self.warm[victim][bank] = 0.0
+                self.occupancy[bank] -= bytes_out
+                self.evictions.append(EvictionRecord(victim, bank, bytes_out))
+            warm[bank] += gain
+            self.occupancy[bank] += gain
+        return promoted
+
+    def admit(self, sid, protected) -> float:
+        """The old admission pair: dry-run probe, then commit if it covers."""
+        cold = self.cold_bytes(sid)
+        promotable = self.promote(sid, protected=protected, dry_run=True)
+        if promotable >= cold * (1.0 - 1e-9):
+            self.promote(sid, protected=protected)
+            return promotable
+        return 0.0
+
+    def commit_fetch(self, sid, protected) -> ShardSplit:
+        split = self.fetch_split(sid)
+        self.touch(sid)
+        if split.cold_fraction > 0.0:
+            self.promote(sid, protected=protected)
+        return split
+
+
+#: whole-MiB sizes make exact ties (headroom + freed == need) common
+mib_multiples = st.integers(min_value=0, max_value=1024).map(lambda n: n * 2.0**20)
+shard_specs = st.tuples(
+    st.one_of(mib_multiples, st.floats(min_value=0.0, max_value=1e9)),  # offloaded
+    st.floats(min_value=0.0, max_value=1e9),  # hot
+    st.integers(min_value=1, max_value=64),  # clusters
+    st.one_of(st.just(0.0), st.floats(min_value=0.0, max_value=1e6)),  # hc tables
+)
+oracle_ops = st.lists(
+    st.one_of(
+        st.tuples(st.just("register"), shard_specs),
+        st.tuples(
+            st.sampled_from(["touch", "commit", "promote", "admit"]),
+            st.integers(0, 11),
+            st.frozensets(st.integers(0, 11), max_size=4),  # protected
+        ),
+    ),
+    min_size=1,
+    max_size=40,
+)
+
+
+class TestIndexMatchesRescanOracle:
+    @given(
+        num_banks=st.integers(min_value=1, max_value=6),
+        budget=st.one_of(
+            st.just(math.inf),
+            st.integers(min_value=1, max_value=2048).map(lambda n: n * 2.0**20),
+            st.floats(min_value=1e6, max_value=2e9),
+        ),
+        first=shard_specs,
+        ops=oracle_ops,
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_every_step_matches_the_rescan(self, num_banks, budget, first, ops):
+        indexed = ShardedKVHierarchy(num_banks, budget, sanitize=True)
+        oracle = _RescanOracle(num_banks, budget)
+        indexed.register(0, *first)
+        oracle.register(0, *first)
+        for op in ops:
+            if op[0] == "register":
+                sid = len(oracle.warm)
+                indexed.register(sid, *op[1])
+                oracle.register(sid, *op[1])
+            else:
+                kind, index, protected = op
+                sid = index % len(oracle.warm)
+                if kind == "touch":
+                    indexed.touch(sid)
+                    oracle.touch(sid)
+                elif kind == "commit":
+                    assert indexed.commit_fetch(sid, protected) == oracle.commit_fetch(
+                        sid, protected
+                    )
+                elif kind == "promote":
+                    assert indexed.promote(sid, protected) == oracle.promote(sid, protected)
+                else:
+                    fused = indexed.promote(sid, protected, require_full=True)
+                    assert fused == oracle.admit(sid, protected)
+            assert indexed.evictions == oracle.evictions
+            np.testing.assert_array_equal(indexed.bank_occupancy_bytes(), oracle.occupancy)
+            for sid in oracle.warm:
+                assert indexed.fetch_split(sid) == oracle.fetch_split(sid)
+                np.testing.assert_array_equal(indexed.warm_bytes(sid), oracle.warm[sid])
+
+    def test_exact_fit_takes_no_extra_victim(self):
+        """A victim that frees exactly the missing bytes ends the walk."""
+        MiB = 2.0**20
+        indexed = ShardedKVHierarchy(1, 200 * MiB, sanitize=True)
+        oracle = _RescanOracle(1, 200 * MiB)
+        for sid in range(3):
+            indexed.register(sid, 100 * MiB)
+            oracle.register(sid, 100 * MiB, 0.0, 1, 0.0)
+        assert indexed.promote(2) == oracle.promote(2) == 100 * MiB
+        assert indexed.evictions == oracle.evictions == [EvictionRecord(0, 0, 100 * MiB)]
+
+    def test_full_promotion_tolerates_float_slack(self):
+        """A plan short of the cold remainder by float-sum ulps still covers it."""
+        MiB = 2.0**20
+        indexed = ShardedKVHierarchy(2, 2200 * MiB, sanitize=True)
+        oracle = _RescanOracle(2, 2200 * MiB)
+        for sid, (offloaded, clusters) in enumerate([(1300 * MiB, 8), (3000 * MiB, 9)]):
+            indexed.register(sid, offloaded, num_clusters=clusters)
+            oracle.register(sid, offloaded, 0.0, clusters, 0.0)
+        cold = indexed.cold_bytes(1)
+        promoted = indexed.promote(1, require_full=True)
+        assert cold * (1.0 - 1e-9) <= promoted < cold  # covered only within slack
+        assert promoted == oracle.admit(1, ())
+        assert indexed.evictions == oracle.evictions != []

@@ -150,6 +150,44 @@ class TestValidation:
         with pytest.raises(ValueError):
             BurstyArrivals.for_mean_rate(1.0, burstiness=1.0)
 
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    @pytest.mark.parametrize(
+        "build",
+        [
+            lambda bad: PoissonArrivals(rate_hz=bad),
+            lambda bad: PoissonArrivals(rate_hz=1.0, start_s=bad),
+            lambda bad: BurstyArrivals(burst_rate_hz=bad),
+            lambda bad: BurstyArrivals(burst_rate_hz=1.0, mean_burst_frames=bad),
+            lambda bad: BurstyArrivals(burst_rate_hz=1.0, mean_idle_s=bad),
+            lambda bad: BurstyArrivals(burst_rate_hz=1.0, start_s=bad),
+            lambda bad: BurstyArrivals.for_mean_rate(bad),
+            lambda bad: BurstyArrivals.for_mean_rate(1.0, burstiness=bad),
+            lambda bad: DeterministicArrivals(period_s=bad),
+            lambda bad: DeterministicArrivals(period_s=0.1, spacing_s=bad),
+            lambda bad: rate_for_load(bad, 0.1),
+            lambda bad: rate_for_load(1.0, bad),
+        ],
+        ids=[
+            "poisson-rate",
+            "poisson-start",
+            "bursty-rate",
+            "bursty-burst-frames",
+            "bursty-idle",
+            "bursty-start",
+            "for-mean-rate-rate",
+            "for-mean-rate-burstiness",
+            "deterministic-period",
+            "deterministic-spacing",
+            "rate-for-load-load",
+            "rate-for-load-service",
+        ],
+    )
+    def test_non_finite_parameters_rejected(self, build, bad):
+        """NaN slips past ``x <= 0`` checks and yields an all-NaN trace;
+        inf yields an all-inf one.  Both must fail at construction."""
+        with pytest.raises(ValueError):
+            build(bad)
+
     def test_staggered_arrivals_validation(self):
         with pytest.raises(ValueError):
             staggered_arrivals(0, 1.0)

@@ -475,6 +475,10 @@ class TestAdmissionControl:
     def test_config_validation(self):
         with pytest.raises(ValueError):
             SchedulerConfig(deadline_s=0.0)
+        with pytest.raises(ValueError, match="deadline_s"):
+            SchedulerConfig(deadline_s=float("nan"))
+        with pytest.raises(ValueError, match="energy_budget"):
+            SchedulerConfig(energy_budget_j_per_token=float("nan"))
         with pytest.raises(ValueError):
             SchedulerConfig(max_queue_depth=-1)
         with pytest.raises(ValueError):
